@@ -38,7 +38,7 @@ scenario's digests must equal the recorded seed digests.
 Usage:
     PYTHONPATH=src python benchmarks/bench_perf_hotpaths.py
         [--smoke] [--repeats N] [--against-worktree PATH]
-        [--grant-batching] [--cut-through] [--dispatch-micro]
+        [--grant-batching] [--dispatch-micro]
 
 ``--smoke`` runs a seconds-long 2-rack variant (no JSON overwrite, no
 speedup claim) so CI catches harness bitrot.
@@ -189,50 +189,6 @@ def _merge_into_results(key: str, value: dict) -> None:
         payload = {}
     payload[key] = value
     RESULT_PATH.write_text(json.dumps(payload, indent=1) + "\n")
-
-
-def cut_through_comparison(smoke: bool = False) -> dict:
-    """Run the canonical (or smoke) scenario with idle-path cut-through
-    on and off; digests must be byte-identical (the cut-through
-    contract) and the fused event count strictly lower.
-
-    Event counts are deterministic for a seeded scenario, so one run
-    per mode is exact.  Wall times are recorded for honesty: in
-    CPython the chain bookkeeping costs about as much as the events it
-    elides, so the event reduction does not translate into a wall win
-    on this runtime (see docs/PERFORMANCE.md).
-    """
-    import dataclasses
-
-    scenario = SMOKE_SCENARIO if smoke else SCENARIO
-
-    def measure(cut: bool):
-        cfg = build_config(scenario)
-        cfg = dataclasses.replace(
-            cfg, net_overrides=dict(cfg.net_overrides, cut_through=cut))
-        result = run_experiment_once(cfg)
-        return result, {
-            "events": result.events,
-            "completed": result.completed,
-            "wall_seconds": round(result.wall_seconds, 4),
-            "p50": [repr(x) for x in result.slowdown_series(50)],
-            "p99": [repr(x) for x in result.slowdown_series(99)],
-        }
-
-    off_result, off = measure(False)
-    on_result, on = measure(True)
-    payload = {
-        "scenario": scenario,
-        "off": off,
-        "on": on,
-        "event_reduction": round(off["events"] / on["events"], 3),
-        "digest_identical": (off["p50"] == on["p50"]
-                             and off["p99"] == on["p99"]),
-    }
-    if not smoke:
-        payload["digest_identical_to_seed"] = (
-            on["p50"] == SEED_P50 and on["p99"] == SEED_P99)
-    return payload
 
 
 def run_experiment_once(cfg):
@@ -465,12 +421,6 @@ def main(argv=None) -> int:
                         help="measure the grant pacer: legacy vs batched "
                              "GRANT counts on the canonical scenario "
                              "(updates BENCH_hotpaths.json)")
-    parser.add_argument("--cut-through", action="store_true",
-                        help="measure idle-path cut-through: event counts "
-                             "and digest identity with the mode on vs off "
-                             "(canonical scenario updates "
-                             "BENCH_hotpaths.json; with --smoke runs the "
-                             "CI variant and writes nothing)")
     parser.add_argument("--dispatch-micro", action="store_true",
                         help="measure dispatch-layer primitives (storage "
                              "reads, queue disciplines, heap cycle, pool "
@@ -480,29 +430,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-
-    if args.cut_through:
-        comparison = cut_through_comparison(smoke=args.smoke)
-        reduction = comparison["event_reduction"]
-        print(json.dumps(comparison, indent=1))
-        print(f"events: {comparison['off']['events']} -> "
-              f"{comparison['on']['events']} ({reduction:.2f}x fewer, "
-              f"digest identical: {comparison['digest_identical']})")
-        if args.smoke:
-            ok = (comparison["digest_identical"]
-                  and comparison["on"]["events"]
-                  < comparison["off"]["events"])
-            if not ok:
-                print("FAIL: cut-through must keep digests identical and "
-                      "strictly lower the event count", file=sys.stderr)
-            return 0 if ok else 1
-        _merge_into_results("cut_through", comparison)
-        ok = (reduction >= 1.3 and comparison["digest_identical"]
-              and comparison["digest_identical_to_seed"])
-        if not ok:
-            print("FAIL: expected >= 1.3x event reduction with "
-                  "byte-identical digests", file=sys.stderr)
-        return 0 if ok else 1
 
     if args.dispatch_micro:
         micro = dispatch_micro(smoke=args.smoke)

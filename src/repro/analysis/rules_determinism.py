@@ -317,8 +317,8 @@ def check_float_time_eq(project: Project) -> list[Finding]:
     """No float ``==``/``!=`` against ``_ps`` timestamps in src/repro.
 
     Simulated time is *integer* picoseconds precisely so equality is
-    exact (the engine's event comparators and cut-through chaining rely
-    on it).  Comparing a ``_ps`` value against a float literal, a true
+    exact (the engine's event comparators and the ingress arrival-fusion
+    checks rely on it).  Comparing a ``_ps`` value against a float literal, a true
     division, or ``float(...)`` re-introduces rounding: two events meant
     to coincide stop comparing equal.  Use integer arithmetic (``//``,
     ``units.ns_to_ps``) on both sides.

@@ -114,15 +114,14 @@ class PiasTransport(Transport):
         self.backoffs = 0
         # Receiver GC of partial inbound messages (None on clean fabrics).
         self._in_watch = self._tracker(self._in_idle, self._in_give_up)
-        if recovery is not None:
-            # Done-memory must outlive the sender's retry *spacing*,
-            # which here is RTO-scaled (backoff gate <= 4*rto plus the
-            # rto-granular check timer), not recovery-scaled: the RTO
-            # floor (>=200 us) dwarfs the recovery base on small-RTT
-            # fabrics, and an expired memory turns a late go-back-N
-            # into a duplicate delivery.
-            self._done_horizon_ps = max(self._done_horizon_ps,
-                                        8 * self.rto_ps)
+        # Done-memory must outlive the sender's retry *spacing*, which
+        # here is RTO-scaled (backoff gate <= 4*rto plus the
+        # rto-granular check timer), not recovery-scaled: the RTO floor
+        # (>=200 us) dwarfs the recovery base on small-RTT fabrics, and
+        # an expired memory turns a late go-back-N into a duplicate
+        # delivery.  The RTO runs on clean fabrics too (a spurious
+        # timeout under queueing), so the memory is always kept.
+        self._done_horizon_ps = max(self._done_horizon_ps, 8 * self.rto_ps)
 
     # ------------------------------------------------------------------
     # MLFQ priority
@@ -201,7 +200,7 @@ class PiasTransport(Transport):
         key = pkt.msg_key
         msg = self.inbound.get(key)
         if msg is None:
-            if self._in_watch is not None and self._recently_done(key):
+            if self._recently_done(key):
                 # Late go-back-N of a completed message (the final ACK
                 # was lost): re-ACK the full length, never re-register —
                 # a fresh partial inbound here is a duplicate delivery.
@@ -233,7 +232,7 @@ class PiasTransport(Transport):
             del self.inbound[key]
             if self._in_watch is not None:
                 self._in_watch.forget(key)
-                self._note_done(key)
+            self._note_done(key)
             self._report_complete(msg)
 
     def _on_ack(self, pkt: Packet) -> None:

@@ -138,10 +138,9 @@ class Simulator:
     def schedule_at1(self, time_ps: int, fn: Callable, arg: Any) -> Event:
         """``schedule_at`` specialised to one non-None, non-tuple argument.
 
-        Used by the cut-through fast path (core/cutthrough.py) for
-        chain continuations at analytically computed absolute times —
-        never in the past (same-instant re-arms are allowed), so no
-        past-check is needed.
+        Callers guarantee ``time_ps`` is not in the past (fault
+        schedules are armed when the network is built), so no
+        past-check is done.
         """
         self._seq += 1
         event: Event = [time_ps, self._seq, fn, arg]

@@ -173,16 +173,10 @@ def install_loss(net, loss: LossRates, seed: int) -> None:
 
     One shared ``random.Random`` drives all layers, so the drop stream
     is a pure function of (spec, seed) and the packet arrival order —
-    both deterministic.  Rejects cut-through networks: chained hops
-    bypass downstream switch ingress, so their filters would never see
-    chained packets.
+    both deterministic.
     """
     if not loss.any():
         return
-    if getattr(net.cfg, "cut_through", False):
-        raise ValueError(
-            "loss injection is incompatible with cut_through=True: "
-            "cut-through chains bypass downstream switch ingress")
     rng = random.Random(seed * _LOSS_SEED_MUL + _LOSS_SEED_OFF)
     uniform = rng.random
     for switch in net.all_switches():

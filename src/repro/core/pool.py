@@ -2,12 +2,12 @@
 
 A ``PacketPool`` owns a preallocated block of packet *slots* and hands
 them out through a LIFO free-list, so the per-packet cost of the hot
-transports drops from "allocate a 38-field object, then deallocate it"
+transports drops from "allocate a 27-field object, then deallocate it"
 to "pop a slot index and re-initialize the fields that differ".  Each
 slot is a regular :class:`~repro.core.packet.Packet` carrying its pool
 identity (``pkt.pool``, ``pkt.slot``), which keeps the whole attribute
-API intact for every consumer — ports, switches, cut-through lineage,
-metrics — while making allocation and recycling O(1) list ops.
+API intact for every consumer — ports, switches, metrics — while
+making allocation and recycling O(1) list ops.
 
 Why slots-as-objects instead of raw parallel ``array('q')`` columns:
 CPython boxes every ``array`` element on read, making it several times
@@ -30,9 +30,9 @@ Life cycle contract:
   byte-identical to unpooled construction).
 * ``free`` returns a slot once its packet has been *consumed* — for
   Homa, when ``on_packet`` has dispatched it at the destination.  It
-  resets the flight-mutable fields (ECN/trim marks, wait accumulators,
-  cut-through lineage stamps) and drops payload references; freeing a
-  slot twice raises, freeing a foreign packet is a checked error.
+  resets the flight-mutable fields (ECN/trim marks, wait accumulators)
+  and drops payload references; freeing a slot twice raises, freeing a
+  foreign packet is a checked error.
 * The pool grows by ``grow_chunk`` fresh slots whenever the free-list
   runs dry (packets dropped by a lossy fabric are simply never freed),
   so sizing is a performance knob, never a correctness limit
@@ -41,8 +41,8 @@ Life cycle contract:
 
 from __future__ import annotations
 
-from repro.core.packet import (ALLOC_UNKNOWN, CTRL_PRIO, ETH_OVERHEAD,
-                               HEADER_BYTES, MIN_WIRE, Packet, PacketType)
+from repro.core.packet import (CTRL_PRIO, ETH_OVERHEAD, HEADER_BYTES,
+                               MIN_WIRE, Packet, PacketType)
 
 _OVERHEAD = HEADER_BYTES + ETH_OVERHEAD
 
@@ -162,14 +162,6 @@ class PacketPool:
         pkt.trimmed = False
         pkt.q_wait = 0
         pkt.p_wait = 0
-        pkt.tx_start_ps = 0
-        pkt.alloc_ps = ALLOC_UNKNOWN
-        pkt.alloc2_ps = ALLOC_UNKNOWN
-        pkt.alloc3_ps = ALLOC_UNKNOWN
-        pkt.arrival_ps = 0
-        pkt.rank_seq = 0
-        pkt.prev_arrival_ps = 0
-        pkt.prev_rank_seq = 0
         pkt.cutoffs = None
         pkt.app_meta = None
         self._free.append(pkt)

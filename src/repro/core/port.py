@@ -25,11 +25,8 @@ from collections import deque
 from heapq import heappush
 from typing import Callable, Optional
 
-from repro.core.cutthrough import _mat_done, run_late_mats
-from repro.core.cutthrough import precedes as _cut_precedes
 from repro.core.engine import Simulator
-from repro.core.packet import (ALLOC_UNKNOWN, CTRL_PRIO, N_PRIORITIES,
-                               Packet, PacketType)
+from repro.core.packet import CTRL_PRIO, N_PRIORITIES, Packet, PacketType
 from repro.core.pool import free_packet
 from repro.core.units import ps_per_byte
 
@@ -58,8 +55,6 @@ class BasePort:
         "cur_pkt", "cur_end_ps", "probe", "trace_delays",
         "tx_packets", "tx_wire_bytes", "drops", "_tx_done_cb", "enqueue_cb",
         "fuse_ok", "last_arrival_ps",
-        "cut_ok", "in_delay_ps", "res_chain", "res_idx",
-        "res_start_ps", "res_end_ps", "lineage_on",
     )
 
     def __init__(
@@ -99,38 +94,6 @@ class BasePort:
         # its priority level's FIFO.
         self.fuse_ok = False
         self.last_arrival_ps = -1
-        # Cut-through (core/cutthrough.py): ``cut_ok`` marks ports that
-        # may host an analytic reservation (no observable queue state:
-        # finite buffers, ECN, trimming, and pFabric all disqualify;
-        # ideal preemption is allowed — a preempting arrival simply
-        # materializes the reservation first).  ``in_delay_ps`` is the
-        # fixed ingress delay of the switch feeding this port — every
-        # arrival funnels through it, which is what makes a planned
-        # reservation's window sound and resolves end-of-window ties.
-        # ``res_chain``/``res_idx`` point at the chain (and our hop in
-        # it) currently holding the link for [res_start_ps, res_end_ps).
-        self.cut_ok = False
-        self.in_delay_ps = 0
-        self.res_chain = None
-        self.res_idx = 0
-        self.res_start_ps = 0
-        self.res_end_ps = 0
-        # True only in networks built with cut_through enabled: gates
-        # the lineage stamps and heap peeks below, so the default
-        # (slow-path-only) mode pays nothing for the machinery.
-        self.lineage_on = False
-
-    def cut_ready(self, now: int) -> bool:
-        """Cut-through fast-path predicate (reference implementation;
-        the hot copies are inlined in cutthrough's planners)."""
-        return (self.cut_ok
-                and not self.busy
-                and not self._nonempty
-                and now > self.last_arrival_ps
-                and self.probe is None
-                and not self.trace_delays
-                and not self._paused
-                and (self.res_chain is None or self.res_end_ps <= now))
 
     def enqueue(self, pkt: Packet) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -144,11 +107,6 @@ class BasePort:
         sim = self.sim
         now = sim.now
         time_ps = now + pkt.wire * self.ppb
-        if self.lineage_on:
-            pkt.tx_start_ps = now
-            pkt.alloc_ps = ALLOC_UNKNOWN
-            pkt.alloc2_ps = ALLOC_UNKNOWN
-            pkt.alloc3_ps = ALLOC_UNKNOWN
         self.busy = True
         self.cur_pkt = pkt
         self.cur_end_ps = time_ps
@@ -165,10 +123,6 @@ class BasePort:
     def _tx_done(self) -> None:
         pkt = self.cur_pkt
         sim = self.sim
-        if self.lineage_on:
-            heap = sim._heap
-            if heap and heap[0][2] is _mat_done:
-                run_late_mats(sim, sim.now, pkt)
         self.cur_pkt = None
         self.busy = False
         self.tx_packets += 1
@@ -196,7 +150,7 @@ class QueuedPort(BasePort):
     __slots__ = (
         "queues", "qbytes", "prio_qbytes", "buffer_bytes",
         "ecn_bytes", "trim_bytes", "preemptive", "_paused", "_tx_event",
-        "_nonempty", "_vanilla", "mat_tx",
+        "_nonempty", "_vanilla",
     )
 
     def __init__(
@@ -223,98 +177,12 @@ class QueuedPort(BasePort):
         self._paused: list[tuple[Packet, int]] = []  # (packet, remaining ps)
         self._tx_event = None
         self._nonempty = 0  # bit p set iff queues[p] is non-empty
-        # Pending tx-done of a *mid-window* materialized transmission:
-        # its seq was allocated at the conflict instant rather than at
-        # the transmission start, so an end-instant arrival must replay
-        # the slow path's order (see enqueue).  None almost always.
-        self.mat_tx = None
         # Fast-path flag: no marking/trimming/drops/preemption to check.
         self._vanilla = (buffer_bytes is None and ecn_bytes is None
                          and trim_bytes is None and not preemptive)
         self.fuse_ok = self._vanilla
-        # Cut-through eligibility is wider than fusion's: preemptive
-        # ports qualify (an arrival that could preempt materializes the
-        # reservation first, then preempts the real transmission).
-        self.cut_ok = (buffer_bytes is None and ecn_bytes is None
-                       and trim_bytes is None)
 
     def enqueue(self, pkt: Packet) -> None:
-        chain = self.res_chain
-        if chain is not None:
-            # A cut-through chain holds this link for [res_start_ps,
-            # res_end_ps).  Resolve the reservation before anything
-            # else; each branch reproduces the slow path's event order
-            # (see core/cutthrough.py).
-            now = self.sim.now
-            start = self.res_start_ps
-            if now < start:
-                chain.divert(self.res_idx)
-            elif now == start:
-                # Start-instant tie: this enqueue and the chained
-                # packet's would-be enqueue were both created one
-                # ingress delay ago, and the slow path orders them by
-                # their creators' seqs — allocated at the respective
-                # upstream transmission starts (see cutthrough.precedes
-                # for the deeper tie levels).
-                idx = self.res_idx
-                if _cut_precedes(chain, idx, pkt):
-                    chain.divert(idx)
-                elif self.busy or self._nonempty or self._paused:
-                    # The chained packet goes first, but an earlier
-                    # interloper already holds the link: slot it into
-                    # the queue ahead of this enqueue.
-                    chain.reenter(idx)
-                else:
-                    chain.materialize(idx)
-            elif now < self.res_end_ps or (
-                    now == self.res_end_ps
-                    and start >= now - self.in_delay_ps):
-                # Inside the window — or tied with its end while the
-                # chained packet's tx-done event would have been the
-                # younger of the two and thus fire after this enqueue.
-                chain.materialize(self.res_idx)
-            else:
-                self.res_chain = None  # stale: the packet already left
-        if self.lineage_on:
-            # One gate for all the cut-through repair machinery: the
-            # default (slow-path-only) mode pays a single attribute
-            # read here.
-            if self.mat_tx is not None and self.busy:
-                # A mid-window materialized transmission is in flight:
-                # its tx-done seq dates from the conflict, not the
-                # transmission start.  If this arrival lands exactly at
-                # its end while the slow path's tx-done (allocated at
-                # the start) would have fired first, replay that order:
-                # complete the transmission now, then enqueue.
-                event = self.mat_tx
-                now = self.sim.now
-                if now == self.cur_end_ps:
-                    self.mat_tx = None
-                    if (event[0] == now and event[2] is not None
-                            and self.cur_pkt is not None
-                            and self.cur_pkt.tx_start_ps
-                            < now - self.in_delay_ps):
-                        Simulator.cancel(event)
-                        self._tx_done()
-            heap = self.sim._heap
-            while heap and heap[0][2] is _mat_done:
-                # The same repair across ports: a pending same-instant
-                # completion of a transmission materialized mid-window
-                # carries a late seq, but the slow path (which
-                # allocated it at the transmission start) would have
-                # run it before this enqueue — and tx-done allocation
-                # order is observable one hop later.  Run it inline
-                # first.
-                top = heap[0]
-                port2 = top[3]
-                if (top[0] != self.sim.now
-                        or port2.mat_tx is not top or port2.cur_pkt is None
-                        or port2.cur_pkt.tx_start_ps
-                        >= self.sim.now - self.in_delay_ps):
-                    break
-                port2.mat_tx = None
-                Simulator.cancel(top)
-                port2._tx_done()
         if self._vanilla:
             if (not self.busy and not self._nonempty and self.probe is None
                     and not self._paused):
@@ -324,13 +192,6 @@ class QueuedPort(BasePort):
                 sim = self.sim
                 now = sim.now
                 time_ps = now + pkt.wire * self.ppb
-                if self.lineage_on:
-                    # Pass-through: shift the packet's own history one
-                    # level down the lineage before restamping.
-                    pkt.alloc3_ps = pkt.alloc_ps
-                    pkt.alloc2_ps = pkt.tx_start_ps
-                    pkt.tx_start_ps = now
-                    pkt.alloc_ps = now - self.in_delay_ps
                 self.busy = True
                 self.cur_pkt = pkt
                 self.cur_end_ps = time_ps
@@ -447,11 +308,6 @@ class QueuedPort(BasePort):
 
     def _transmit(self, pkt: Packet) -> None:
         duration = pkt.wire * self.ppb
-        if self.lineage_on:
-            pkt.tx_start_ps = self.sim.now
-            pkt.alloc_ps = ALLOC_UNKNOWN
-            pkt.alloc2_ps = ALLOC_UNKNOWN
-            pkt.alloc3_ps = ALLOC_UNKNOWN
         self.busy = True
         self.cur_pkt = pkt
         self.cur_end_ps = self.sim.now + duration
@@ -462,13 +318,6 @@ class QueuedPort(BasePort):
             self._tx_event = event
 
     def _resume(self, pkt: Packet, remaining: int) -> None:
-        # Stamp the resume instant: this is when the completion event's
-        # seq is allocated, which is what tx_start_ps stands for.
-        if self.lineage_on:
-            pkt.tx_start_ps = self.sim.now
-            pkt.alloc_ps = ALLOC_UNKNOWN
-            pkt.alloc2_ps = ALLOC_UNKNOWN
-            pkt.alloc3_ps = ALLOC_UNKNOWN
         self.busy = True
         self.cur_pkt = pkt
         self.cur_end_ps = self.sim.now + remaining
@@ -478,53 +327,12 @@ class QueuedPort(BasePort):
         if self.preemptive:
             self._tx_event = event
 
-    def _materialize(self, pkt: Packet, start_ps: int, end_ps: int) -> None:
-        """Turn a cut-through reservation back into a real in-flight
-        transmission over [``start_ps``, ``end_ps``) (chains only ever
-        reserve probe-free, trace-free ports, so no observer hooks
-        fire).  ``start_ps`` is the analytic transmission start — the
-        instant the slow path would have allocated the tx-done — which
-        downstream start-tie resolutions read back off the packet."""
-        sim = self.sim
-        pkt.tx_start_ps = start_ps
-        pkt.alloc_ps = start_ps - self.in_delay_ps
-        # Lineage hygiene: the materialized transmission plays the role
-        # of one launched by a scheduled arrival at ``start_ps``, but
-        # no real arrival seq exists for it.
-        pkt.prev_arrival_ps = pkt.arrival_ps
-        pkt.prev_rank_seq = pkt.rank_seq
-        pkt.arrival_ps = start_ps
-        pkt.rank_seq = ALLOC_UNKNOWN
-        self.busy = True
-        self.cur_pkt = pkt
-        self.cur_end_ps = end_ps
-        sim._seq += 1
-        if start_ps < sim.now:
-            # Mid-window materialization: the tx-done's seq postdates
-            # the start the slow path would have allocated it at, so it
-            # completes through the rank-turned _mat_done, and
-            # end-instant arrivals must check it (see enqueue).
-            event = [end_ps, sim._seq, _mat_done, self]
-            self.mat_tx = event
-        else:
-            event = [end_ps, sim._seq, self._tx_done_cb, None]
-        if end_ps < sim._horizon:
-            heappush(sim._heap, event)
-        else:
-            sim._file_far(event, end_ps)
-        if self.preemptive:
-            self._tx_event = event
-
     def _tx_done(self) -> None:
         # BasePort._tx_done with the follow-up dequeue inlined: this
         # pair runs once per switch-port transmission.  KEEP IN SYNC
         # with _next below — the dequeue + inline-transmit bodies are
         # intentionally duplicated to save a call per packet.
         pkt = self.cur_pkt
-        if self.lineage_on:
-            heap = self.sim._heap
-            if heap and heap[0][2] is _mat_done:
-                run_late_mats(self.sim, self.sim.now, pkt)
         self.cur_pkt = None
         self.busy = False
         self.tx_packets += 1
@@ -539,14 +347,6 @@ class QueuedPort(BasePort):
             return
         if not mask:
             return
-        # The dequeued packet's transmission is allocated by this very
-        # tx-done, whose seq dates from the finishing transmission's
-        # start — and the finishing packet's own allocator levels are
-        # the next lineage levels for cut-through deep ties.
-        if self.lineage_on:
-            prior_start_ps = pkt.tx_start_ps
-            prior_alloc_ps = pkt.alloc_ps
-            prior_alloc2_ps = pkt.alloc2_ps
         prio = mask.bit_length() - 1
         queue = self.queues[prio]
         pkt = queue.popleft()
@@ -559,11 +359,6 @@ class QueuedPort(BasePort):
             sim = self.sim
             now = sim.now
             time_ps = now + pkt.wire * self.ppb
-            if self.lineage_on:
-                pkt.tx_start_ps = now
-                pkt.alloc_ps = prior_start_ps
-                pkt.alloc2_ps = prior_alloc_ps
-                pkt.alloc3_ps = prior_alloc2_ps
             self.busy = True
             self.cur_pkt = pkt
             self.cur_end_ps = time_ps
@@ -604,11 +399,6 @@ class QueuedPort(BasePort):
             sim = self.sim
             now = sim.now
             time_ps = now + pkt.wire * self.ppb
-            if self.lineage_on:
-                pkt.tx_start_ps = now
-                pkt.alloc_ps = ALLOC_UNKNOWN
-                pkt.alloc2_ps = ALLOC_UNKNOWN
-                pkt.alloc3_ps = ALLOC_UNKNOWN
             self.busy = True
             self.cur_pkt = pkt
             self.cur_end_ps = time_ps
@@ -757,10 +547,6 @@ class PullPort(BasePort):
         # BasePort._tx_done fused with the follow-up pull: this pair
         # runs once per host-uplink transmission.
         pkt = self.cur_pkt
-        if self.lineage_on:
-            heap = self.sim._heap
-            if heap and heap[0][2] is _mat_done:
-                run_late_mats(self.sim, self.sim.now, pkt)
         self.cur_pkt = None
         self.busy = False
         self.tx_packets += 1
@@ -773,10 +559,6 @@ class PullPort(BasePort):
         # Delivery only schedules the next-hop arrival; it cannot start
         # a new transmission on this port, so pulling afterwards is the
         # same order BasePort produced.
-        if self.lineage_on:
-            prior_start_ps = pkt.tx_start_ps
-            prior_alloc_ps = pkt.alloc_ps
-            prior_alloc2_ps = pkt.alloc2_ps
         self.deliver(pkt)
         source = self.source
         if source is not None:
@@ -786,11 +568,6 @@ class PullPort(BasePort):
                 sim = self.sim
                 now = sim.now
                 time_ps = now + pkt.wire * self.ppb
-                if self.lineage_on:
-                    pkt.tx_start_ps = now
-                    pkt.alloc_ps = prior_start_ps
-                    pkt.alloc2_ps = prior_alloc_ps
-                    pkt.alloc3_ps = prior_alloc2_ps
                 self.busy = True
                 self.cur_pkt = pkt
                 self.cur_end_ps = time_ps

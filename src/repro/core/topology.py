@@ -18,7 +18,6 @@ from heapq import heappush
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from repro.core.cutthrough import plan_from_aggr, plan_from_tor, plan_local
 from repro.core.engine import Simulator
 from repro.core.faults import (FaultEvent, FaultInjector, LossRates,
                                install_loss)
@@ -49,16 +48,6 @@ class NetworkConfig:
     ecn_threshold_bytes: int | None = None      # DCTCP-style marking (PIAS)
     trim_threshold_bytes: int | None = None     # NDP trimming (8 full pkts)
     preemptive_links: bool = False              # Fig 14 hardware ablation
-    #: idle-path cut-through (core/cutthrough.py): chain consecutive
-    #: idle hops, eliding their per-hop events.  Pure event-count
-    #: optimization — slowdown digests are byte-identical either way
-    #: (pinned by the golden-digest tests and the bench property
-    #: tests).  Default off: in CPython the chain bookkeeping costs
-    #: about as much as the events it elides (see docs/PERFORMANCE.md),
-    #: so the mode trades wall time for a ~1.4x smaller event count —
-    #: enable it to A/B the event machinery or on runtimes where
-    #: dispatch dominates.
-    cut_through: bool = False
     seed: int = 1
 
     @property
@@ -99,26 +88,7 @@ class Network:
         self.aggr_down_ports: list[BasePort] = []    # flattened [aggr][rack]
         self._spray = random.Random(cfg.seed * 7919 + 13)
         self._oneway_cache: dict[tuple[int, bool], int] = {}
-        #: cut-through accounting: [chains planned, hops chained,
-        #: diverts, materializes] (indices in core/cutthrough.py).
-        self.cut_stats = [0, 0, 0, 0]
         self._build()
-
-    @property
-    def cut_through_chains(self) -> int:
-        return self.cut_stats[0]
-
-    @property
-    def cut_through_hops(self) -> int:
-        return self.cut_stats[1]
-
-    @property
-    def cut_through_diverts(self) -> int:
-        return self.cut_stats[2]
-
-    @property
-    def cut_through_materializes(self) -> int:
-        return self.cut_stats[3]
 
     # ------------------------------------------------------------------
     # construction
@@ -139,13 +109,6 @@ class Network:
                 trim_bytes=cfg.trim_threshold_bytes,
                 preemptive=cfg.preemptive_links,
             )
-        # Every arrival to a switch egress port funnels through its
-        # switch's fixed ingress delay; cut-through relies on this both
-        # for reservation soundness and for end-of-window tie-breaking.
-        port.in_delay_ps = cfg.switch_delay_ps
-        # Lineage stamps only exist to order cut-through chains against
-        # real events; the default mode skips them entirely.
-        port.lineage_on = self._cut_enabled(cfg.switch_delay_ps)
         return port
 
     def _build(self) -> None:
@@ -170,14 +133,12 @@ class Network:
                        for rack in range(cfg.racks)]
         aggr_ingress = [self._make_aggr_ingress(a)
                         for a in range(len(self.aggrs))]
-        lineage_on = self._cut_enabled(cfg.switch_delay_ps)
 
         # Host uplinks (pull model) and TOR downlinks.
         for host in self.hosts:
             tor = self.tors[host.rack]
             up = PullPort(sim, f"h{host.hid}->tor{host.rack}", cfg.host_gbps,
                           tor_ingress[host.rack], "host_up")
-            up.lineage_on = lineage_on
             host.egress = up
             self.host_up_ports.append(up)
             down = self._make_switch_port(
@@ -267,18 +228,6 @@ class Network:
     # Fusion is disabled wherever queue state is observable in between:
     # finite buffers, ECN, trimming, preemption (``fuse_ok``), attached
     # probes, or delay tracing.
-    #
-    # The complementary *idle* case is handled by cut-through
-    # (core/cutthrough.py): when the routed egress port is idle and
-    # clean, the ingress tries to chain the packet's remaining hops
-    # analytically, reserving each port's link window and scheduling a
-    # single fused delivery event instead of per-hop machinery.  Ports
-    # resolve reservation conflicts in ``QueuedPort.enqueue`` (divert /
-    # materialize), so a queue forming mid-chain falls back to the slow
-    # path with byte-identical results.  The ``cut`` gate below bakes
-    # in everything uniform across a built network (mode flag, positive
-    # switch delay, priority queueing, no buffers/ECN/trimming), so the
-    # planners only re-check per-port dynamic state.
 
     def _make_tor_ingress(self, rack: int):
         cfg = self.cfg
@@ -287,16 +236,10 @@ class Network:
         delay = tor.delay_ps
         hosts_per_rack = cfg.hosts_per_rack
         n_aggrs = cfg.aggrs
-        n_racks = cfg.racks
         tor_down = self.tor_down_ports
         tor_up = self.tor_up_ports
-        aggr_down = self.aggr_down_ports
-        aggrs = self.aggrs
-        tors = self.tors
         up_base = rack * n_aggrs
         single = cfg.racks == 1
-        cut = self._cut_enabled(delay)
-        stats = self.cut_stats
         # Bit-exact inline of random.Random.randrange(n_aggrs) — same
         # getrandbits rejection loop, no Python frames.
         getrandbits = self._spray.getrandbits
@@ -312,13 +255,10 @@ class Network:
                     pkt.pool.free(pkt)
                 return
             dst = pkt.dst
-            local = single or lo <= dst < hi
-            if local:
+            if single or lo <= dst < hi:
                 port = tor_down[dst]
             else:
-                # Per-packet spraying: the RNG draw happens here, before
-                # any cut-through decision, so the spray stream (and
-                # every sprayed path) is identical in both modes.
+                # Per-packet spraying.
                 r = getrandbits(spray_bits)
                 while r >= n_aggrs:
                     r = getrandbits(spray_bits)
@@ -346,30 +286,8 @@ class Network:
                     # is skipped entirely.
                     port.enqueue(pkt)
                     return
-            elif cut:
-                if local:
-                    # Idle receiver downlink: absorb the delivery hop.
-                    if plan_local(sim, pkt, now, stats, tor, port):
-                        return
-                else:
-                    # Idle uplink: chain as much of the remaining
-                    # cross-rack path as is idle and clean.
-                    dst_rack = dst // hosts_per_rack
-                    if plan_from_tor(sim, pkt, now, stats, tor, port,
-                                     aggrs[r],
-                                     aggr_down[r * n_racks + dst_rack],
-                                     tors[dst_rack], tor_down[dst]):
-                        return
             port.last_arrival_ps = arrival
             sim._seq += 1
-            if cut:
-                # Arrival lineage stamps (shifted one hop deep):
-                # landing time + event seq, read by the cut-through
-                # start-tie resolution (core/cutthrough.py).
-                pkt.prev_arrival_ps = pkt.arrival_ps
-                pkt.prev_rank_seq = pkt.rank_seq
-                pkt.arrival_ps = arrival
-                pkt.rank_seq = sim._seq
             event = [arrival, sim._seq, port.enqueue_cb, pkt]
             if arrival < sim._horizon:
                 heappush(sim._heap, event)
@@ -378,17 +296,6 @@ class Network:
 
         return ingress
 
-    def _cut_enabled(self, delay_ps: int) -> bool:
-        """Whether ingress closures should attempt cut-through at all:
-        everything here is uniform across the built network, so the
-        per-packet planners only re-check per-port dynamic state."""
-        cfg = self.cfg
-        return (cfg.cut_through and delay_ps > 0
-                and cfg.queue_mode == "priority"
-                and cfg.port_buffer_bytes is None
-                and cfg.ecn_threshold_bytes is None
-                and cfg.trim_threshold_bytes is None)
-
     def _make_aggr_ingress(self, a: int):
         cfg = self.cfg
         sim = self.sim
@@ -396,11 +303,7 @@ class Network:
         delay = aggr.delay_ps
         hosts_per_rack = cfg.hosts_per_rack
         aggr_down = self.aggr_down_ports
-        tor_down = self.tor_down_ports
-        tors = self.tors
         base = a * cfg.racks
-        cut = self._cut_enabled(delay)
-        stats = self.cut_stats
 
         def ingress(pkt: Packet) -> None:
             if aggr.drop_filter is not None and aggr.drop_filter(pkt):
@@ -408,9 +311,7 @@ class Network:
                 if pkt.pool is not None:
                     pkt.pool.free(pkt)
                 return
-            dst = pkt.dst
-            dst_rack = dst // hosts_per_rack
-            port = aggr_down[base + dst_rack]
+            port = aggr_down[base + pkt.dst // hosts_per_rack]
             if delay == 0:
                 port.enqueue(pkt)
                 return
@@ -428,19 +329,8 @@ class Network:
                     # See the TOR ingress: backlog-aware fusion.
                     port.enqueue(pkt)
                     return
-            elif cut and plan_from_aggr(sim, pkt, now, stats, aggr, port,
-                                        tors[dst_rack], tor_down[dst]):
-                return
             port.last_arrival_ps = arrival
             sim._seq += 1
-            if cut:
-                # Arrival lineage stamps (shifted one hop deep):
-                # landing time + event seq, read by the cut-through
-                # start-tie resolution (core/cutthrough.py).
-                pkt.prev_arrival_ps = pkt.arrival_ps
-                pkt.prev_rank_seq = pkt.rank_seq
-                pkt.arrival_ps = arrival
-                pkt.rank_seq = sim._seq
             event = [arrival, sim._seq, port.enqueue_cb, pkt]
             if arrival < sim._horizon:
                 heappush(sim._heap, event)
@@ -799,10 +689,6 @@ class FabricNetwork(Network):
 
     def __init__(self, sim: Simulator, spec: TopologySpec, *,
                  seed: int = 1, **overrides) -> None:
-        if overrides.pop("cut_through", False):
-            raise ValueError(
-                "net override 'cut_through' is not supported on a "
-                "FabricNetwork (chained hops would bypass fault checks)")
         self.spec = spec
         cfg = NetworkConfig(
             racks=spec.racks_total, hosts_per_rack=spec.hosts_per_rack,

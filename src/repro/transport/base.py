@@ -22,7 +22,7 @@ slowdown digests byte-identical (default-off stays default-off).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from typing import Callable, Optional
 
 from repro.core.engine import Simulator
@@ -166,8 +166,9 @@ class Transport:
         # the gap between consecutive retries, not the total retry span.
         # Protocols whose retry timers run on their own scale (PIAS's
         # RTO floor) must raise ``_done_horizon_ps`` accordingly.
-        # Insertion-ordered by expiry, purged from the front on insert.
-        self._done_memory: dict[int, int] = {}
+        # Ordered by expiry (one horizon per transport, refreshed keys
+        # move to the back), purged from the front on insert.
+        self._done_memory: OrderedDict[int, int] = OrderedDict()
         self._done_horizon_ps = recovery.horizon_ps if recovery else 0
 
     # ------------------------------------------------------------------
@@ -246,19 +247,19 @@ class Transport:
 
     def _note_done(self, key: int) -> None:
         """Remember (or refresh) a completed inbound message for the
-        peer's retry spacing (no-op on clean fabrics).  Protocols call
-        this again from their re-ACK branch so a slowly backing-off
-        retrier never outlives the memory of its own completion."""
-        if self.recovery is None:
-            return
-        memory = self._done_memory
-        memory.pop(key, None)  # re-insert at the back (expiry order)
-        memory[key] = self.sim.now + self._done_horizon_ps
+        peer's retry spacing.  Protocols call this again from their
+        re-ACK branch so a slowly backing-off retrier never outlives
+        the memory of its own completion."""
         now = self.sim.now
-        for old_key, expiry in list(memory.items()):
-            if expiry >= now:
-                break
-            del memory[old_key]
+        memory = self._done_memory
+        memory[key] = now + self._done_horizon_ps
+        memory.move_to_end(key)
+        # Expired entries sit at the front; the entry just written has
+        # not expired, so the loop stops before the memory empties.
+        oldest = next(iter(memory))
+        while memory[oldest] < now:
+            del memory[oldest]
+            oldest = next(iter(memory))
 
     def _recently_done(self, key: int) -> bool:
         """True if ``key`` completed within the peer's retry spacing —

@@ -423,115 +423,3 @@ def test_w4_digest_byte_identical_to_seed():
     assert [repr(x) for x in result.slowdown_series(50)] == GOLDEN_P50
     assert [repr(x) for x in result.slowdown_series(99)] == GOLDEN_P99
     assert result.completed == result.submitted == 83
-
-
-# ---------------------------------------------------------------------------
-# Idle-path cut-through: digest identity and conflict fallback
-# ---------------------------------------------------------------------------
-
-
-def _digests(workload, *, cut, seed=7, **overrides):
-    cfg = ExperimentConfig(protocol="homa", workload=workload, load=0.8,
-                           racks=2, hosts_per_rack=4, aggrs=2,
-                           duration_ms=1.5, warmup_ms=0.3, drain_ms=8.0,
-                           seed=seed, max_messages=120,
-                           homa=HomaConfig(grant_batch_ns=0),
-                           net_overrides={"cut_through": cut, **overrides})
-    result = run_experiment(cfg)
-    return ([repr(x) for x in result.slowdown_series(50)],
-            [repr(x) for x in result.slowdown_series(99)],
-            result)
-
-
-@pytest.mark.parametrize("workload", ["W1", "W2", "W3", "W4", "W5"])
-def test_cut_through_digests_byte_identical(workload):
-    """The cut-through contract: slowdown digests are byte-identical
-    with the fast path on and off, for every paper workload.  Event
-    counts must not grow (idle paths exist in all of them)."""
-    p50_on, p99_on, on = _digests(workload, cut=True)
-    p50_off, p99_off, off = _digests(workload, cut=False)
-    assert p50_on == p50_off
-    assert p99_on == p99_off
-    assert on.completed == off.completed
-    assert on.events <= off.events
-
-
-def test_cut_through_fallback_under_contention():
-    """W4 at 80% load forces queues to form mid-chain: reservations
-    must divert or materialize back onto the slow path, and the
-    digests must still match byte for byte (this scenario exercised
-    every conflict class during development)."""
-    from repro.experiments import runner as runner_mod
-
-    nets = []
-    orig = runner_mod.build_network
-
-    def capture(sim, cfg):
-        net = orig(sim, cfg)
-        nets.append(net)
-        return net
-
-    runner_mod.build_network = capture
-    try:
-        p50_on, p99_on, on = _digests("W4", cut=True, seed=1)
-    finally:
-        runner_mod.build_network = orig
-    p50_off, p99_off, off = _digests("W4", cut=False, seed=1)
-    net = nets[0]
-    assert net.cut_through_chains > 0
-    # Contention actually happened: chains were diverted back to the
-    # slow path and reservations materialized mid-window...
-    assert net.cut_through_diverts > 0
-    assert net.cut_through_materializes > 0
-    # ...and none of it changed the simulation.
-    assert p50_on == p50_off
-    assert p99_on == p99_off
-    assert on.completed == off.completed
-
-
-def test_cut_through_skips_observed_ports():
-    """Probes and delay tracing make queue state observable, so runs
-    that collect queue or delay metrics must keep byte-identical
-    results too (chains must exclude observed ports)."""
-    p50_on, p99_on, on = _digests("W3", cut=True)
-    base_rows = None
-    for cut in (True, False):
-        cfg = ExperimentConfig(protocol="homa", workload="W3", load=0.8,
-                               racks=2, hosts_per_rack=4, aggrs=2,
-                               duration_ms=1.5, warmup_ms=0.3, drain_ms=8.0,
-                               seed=7, max_messages=120,
-                               homa=HomaConfig(grant_batch_ns=0),
-                               collect=("queues", "delays"),
-                               net_overrides={"cut_through": cut})
-        result = run_experiment(cfg)
-        rows = [(row.label, row.mean_kb, row.max_kb)
-                for row in result.queue_rows]
-        rows.append(tuple(result.delay_breakdown))
-        if base_rows is None:
-            base_rows = rows
-        else:
-            assert rows == base_rows
-
-
-def test_cut_ready_reference_predicate():
-    """``BasePort.cut_ready`` is the documented reference for the
-    predicates inlined in cutthrough's planners: keep it honest
-    against real port state transitions."""
-    from repro.core.topology import NetworkConfig, build_network
-
-    sim = Simulator()
-    net = build_network(sim, NetworkConfig(racks=2, hosts_per_rack=2,
-                                           aggrs=1, cut_through=True))
-    port = net.tor_up_ports[0]
-    assert port.cut_ready(0)
-    port.busy = True
-    assert not port.cut_ready(0)
-    port.busy = False
-    port.res_chain = object()
-    port.res_end_ps = 100
-    assert not port.cut_ready(50)   # live reservation blocks planning
-    assert port.cut_ready(100)      # ...until its window has passed
-    port.res_chain = None
-    port.last_arrival_ps = 10
-    assert not port.cut_ready(10)   # strictly after any pending arrival
-    assert port.cut_ready(11)

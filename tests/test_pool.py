@@ -87,19 +87,11 @@ def test_recycled_slot_matches_constructor_state():
     pool = PacketPool(prealloc=1)
     pkt = pool.alloc_data(3, 9, 5, 1460, 77, True, 2920, 9999,
                           True, False, False, None, 4380, 123456)
-    # Simulate in-flight mutation by ports/switches/cut-through.
+    # Simulate in-flight mutation by ports and switches.
     pkt.ecn = True
     pkt.trimmed = True
     pkt.q_wait = 11
     pkt.p_wait = 22
-    pkt.tx_start_ps = 33
-    pkt.alloc_ps = 44
-    pkt.alloc2_ps = 55
-    pkt.alloc3_ps = 66
-    pkt.arrival_ps = 77
-    pkt.rank_seq = 88
-    pkt.prev_arrival_ps = 99
-    pkt.prev_rank_seq = 111
     pkt.cutoffs = (1, 2, 3)
     pkt.app_meta = object()
     pool.free(pkt)

@@ -382,3 +382,17 @@ def test_pias_late_gobackn_never_redelivers():
     assert result.submitted == 80
     assert result.completed <= result.submitted, "duplicate delivery"
     assert result.completed + result.pending == result.submitted
+
+
+def test_pias_spurious_rto_never_redelivers_on_clean_fabric():
+    """Regression pin: PIAS's RTO fires on a clean fabric too (queueing
+    at 80% load), and done-memory used to exist only when loss recovery
+    was armed — so a late go-back-N re-registered completed messages
+    (observed: 150 completions of 144 submissions in the Fig 12 W4 cell
+    at seed 1015)."""
+    result = run_experiment(ExperimentConfig(
+        protocol="pias", workload="W4", load=0.8, racks=2,
+        hosts_per_rack=4, aggrs=2, duration_ms=8.0, warmup_ms=0.0,
+        drain_ms=30.0, max_messages=150, seed=1015))
+    assert result.submitted == 144
+    assert result.completed == 144, "duplicate delivery"
